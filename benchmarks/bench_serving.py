@@ -178,8 +178,9 @@ async def _run_level(port: int, concurrency: int, total_requests: int,
 
 async def _bench_mode(batching: bool, concurrency_levels, horizon_s,
                       coarse_step_s: float, seed: int) -> dict:
+    # max_batch=1 degrades the batcher to honest per-request service.
     config = ServingConfig(
-        port=0, batching=batching, max_batch=256, window_s=0.002,
+        port=0, max_batch=256 if batching else 1, window_s=0.002,
         max_pending=8192, coarse_step_s=coarse_step_s,
         cache_decimals=6, cache_ttl_s=3600.0)
     server = ServingServer(config)
@@ -315,7 +316,7 @@ async def _probe(port: int, horizon_s: float, seed: int) -> List[bytes]:
 
 def _fleet_config() -> ServingConfig:
     return ServingConfig(
-        port=0, batching=True, max_batch=256, window_s=0.002,
+        port=0, max_batch=256, window_s=0.002,
         max_pending=8192, coarse_step_s=30.0, cache_decimals=6,
         cache_ttl_s=3600.0)
 

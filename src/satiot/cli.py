@@ -45,7 +45,7 @@ from .core.report import format_kv, format_table
 from .core.sites import SITES
 from .orbits.frames import GeodeticPoint
 from .orbits.groundtrack import CoverageGrid
-from .orbits.passes import PassPredictor
+from .orbits.passes import find_passes_fleet
 
 __all__ = ["main", "build_parser"]
 
@@ -166,14 +166,13 @@ def cmd_passes(args: argparse.Namespace) -> int:
     constellation = build_constellation(args.constellation,
                                         seed=args.seed)
     epoch = constellation.satellites[0].tle.epoch
-    rows = []
-    for satellite in constellation:
-        predictor = PassPredictor(satellite.propagator, location,
-                                  args.min_elevation)
-        for window in predictor.find_passes(epoch, args.days * 86400.0):
-            rows.append([satellite.name, window.rise_s / 3600.0,
-                         window.duration_s / 60.0,
-                         window.max_elevation_deg])
+    per_sat = find_passes_fleet(
+        [satellite.propagator for satellite in constellation], [location],
+        epoch, args.days * 86400.0, min_elevation_deg=args.min_elevation)
+    rows = [[satellite.name, window.rise_s / 3600.0,
+             window.duration_s / 60.0, window.max_elevation_deg]
+            for satellite, windows in zip(constellation, per_sat)
+            for window in windows[0]]
     rows.sort(key=lambda r: r[1])
     print(format_table(
         ["Satellite", "rise (h)", "duration (min)", "max el (deg)"],
@@ -475,7 +474,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         window_s=args.batch_window_ms / 1000.0,
         max_batch=args.max_batch,
         max_pending=args.max_pending,
-        batching=not args.no_batching,
         cache_ttl_s=args.cache_ttl,
         coarse_step_s=args.step,
         realtime=args.realtime,
@@ -495,13 +493,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     service = ConstellationService(constellations=constellations,
                                    coarse_step_s=config.coarse_step_s,
-                                   extra=extra, providers=providers,
-                                   realtime=config.realtime)
+                                   extra=extra, providers=providers)
     server = ServingServer(config, service=service)
 
     async def run() -> None:
         await server.start()
-        mode = "micro-batched" if config.batching else "unbatched"
+        mode = "micro-batched" if config.max_batch > 1 else "unbatched"
         if config.realtime:
             mode += f", realtime x{config.rate:g}"
         print(f"satiot serving on "
@@ -871,12 +868,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-window-ms", type=float, default=2.0,
                    help="micro-batch coalescing window (ms)")
     p.add_argument("--max-batch", type=int, default=256,
-                   help="flush a batch at this many pending requests")
+                   help="flush a batch at this many pending requests "
+                        "(1 serves each request serially)")
     p.add_argument("--max-pending", type=int, default=1024,
                    help="request-queue bound; beyond it clients get "
                         "429 + Retry-After")
-    p.add_argument("--no-batching", action="store_true",
-                   help="serve each request serially (baseline mode)")
     p.add_argument("--cache-ttl", type=float, default=60.0,
                    help="result-cache TTL (s)")
     p.add_argument("--step", type=float, default=30.0,

@@ -29,7 +29,7 @@ from ..network.store_forward import (TIANQI_GROUND_STATIONS, GroundSegment,
                                      SatelliteBuffer)
 from ..network.terrestrial import TerrestrialLoRaWAN, TerrestrialRecord
 from ..orbits.frames import GeodeticPoint
-from ..orbits.passes import ContactWindow, PassPredictor
+from ..orbits.passes import ContactWindow, find_passes_fleet
 from ..orbits.timebase import Epoch
 from ..phy.antennas import ANTENNAS_BY_NAME, Antenna
 from ..phy.channel import ChannelParams, DtSChannel
@@ -224,11 +224,11 @@ class ActiveCampaign:
     def _predict_windows(self, constellation: Constellation, epoch: Epoch,
                          ) -> List[Tuple[Satellite, ContactWindow]]:
         cfg = self.config
-        windows: List[Tuple[Satellite, ContactWindow]] = []
-        for sat in constellation:
-            predictor = PassPredictor(sat.propagator, cfg.site, 0.0)
-            for window in predictor.find_passes(epoch, cfg.duration_s):
-                windows.append((sat, window))
+        satellites = list(constellation)
+        per_sat = find_passes_fleet([sat.propagator for sat in satellites],
+                                    [cfg.site], epoch, cfg.duration_s)
+        windows = [(sat, window) for sat, rows in zip(satellites, per_sat)
+                   for window in rows[0]]
         windows.sort(key=lambda pair: pair[1].rise_s)
         return windows
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..constellations.catalog import Constellation
 from ..groundstation.receiver import PassReception
-from ..orbits.passes import PassPredictor
+from ..orbits.passes import find_passes_fleet
 from ..orbits.timebase import Epoch
 from ..orbits.frames import GeodeticPoint
 from .stats import merge_intervals, total_length
@@ -51,14 +51,12 @@ def daily_presence_hours(constellation: Constellation,
     if days <= 0:
         raise ValueError("days must be positive")
     span_s = days * 86400.0
-    intervals: List[Tuple[float, float]] = []
-    for satellite in constellation:
-        predictor = PassPredictor(satellite.propagator, location,
-                                  min_elevation_deg)
-        for window in predictor.find_passes(epoch, span_s,
-                                            coarse_step_s=coarse_step_s):
-            intervals.append((window.rise_s, window.set_s))
-    merged = merge_intervals(intervals)
+    per_sat = find_passes_fleet(
+        [satellite.propagator for satellite in constellation], [location],
+        epoch, span_s, coarse_step_s=coarse_step_s,
+        min_elevation_deg=min_elevation_deg)
+    merged = merge_intervals((window.rise_s, window.set_s)
+                             for rows in per_sat for window in rows[0])
     return total_length(merged) / span_s * 24.0
 
 

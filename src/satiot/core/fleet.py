@@ -163,11 +163,9 @@ def passive_fleet_sweep(base_config: Optional[PassiveCampaignConfig]
     are bit-identical to a serial single-constellation run with the
     same seed.
 
-    Each shard's pass prediction runs on the constellation-batched
-    SGP4 path (one :class:`~satiot.orbits.sgp4_batch.SGP4Batch`
-    propagation per fleet per site grid, GMST/ECEF once per grid);
-    set ``SATIOT_BATCH_SGP4=0`` to force the per-satellite loop.
-    Traces are bit-identical either way.
+    Each shard's pass prediction runs on the fleet pass engine (one
+    :class:`~satiot.orbits.sgp4_batch.SGP4Batch` propagation per fleet
+    per site grid, GMST/ECEF once per grid).
 
     Returns results keyed by constellation, in configured order.
     """

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..constellations.catalog import Satellite
-from ..orbits.passes import (ContactWindow, PassPredictor,
-                             find_passes_fleet)
-from ..orbits.sgp4_batch import batching_enabled
+from ..orbits.passes import ContactWindow, find_passes_fleet
 from ..orbits.timebase import Epoch
 from .station import GroundStation
 
@@ -88,47 +86,19 @@ class Scheduler:
         """All contact windows of the target satellites over the site.
 
         ``ephemeris_cache`` is an optional
-        :class:`satiot.runtime.EphemerisCache`-like object; when given,
-        pass prediction goes through its memoized ``find_passes`` (which
+        :class:`satiot.runtime.EphemerisCache`; when given, the pass
+        search goes through its memoized ``find_passes_fleet`` (which
         yields windows bit-identical to the direct computation).
         """
-        site_location = self.stations[0].location
         satellites = list(satellites)
-        out: List[Tuple[Satellite, ContactWindow]] = []
-        if batching_enabled() and len(satellites) > 1:
-            # Fleet path: one constellation-batched propagation over
-            # the shared grid, GMST/ECEF once — bit-identical windows
-            # to the per-satellite loop below (and to cached lookups:
-            # the cache keys its fleet fills per satellite).
-            props = [sat.propagator for sat in satellites]
-            if ephemeris_cache is not None:
-                per_sat = ephemeris_cache.find_passes_fleet(
-                    props, [site_location], epoch, duration_s,
-                    coarse_step_s=coarse_step_s,
-                    min_elevation_deg=self.min_elevation_deg)
-            else:
-                per_sat = find_passes_fleet(
-                    props, [site_location], epoch, duration_s,
-                    coarse_step_s=coarse_step_s,
-                    min_elevation_deg=self.min_elevation_deg)
-            for sat, rows in zip(satellites, per_sat):
-                for window in rows[0]:
-                    out.append((sat, window))
-            out.sort(key=lambda pair: pair[1].rise_s)
-            return out
-        for sat in satellites:
-            if ephemeris_cache is not None:
-                windows = ephemeris_cache.find_passes(
-                    sat.propagator, site_location, epoch, duration_s,
-                    coarse_step_s=coarse_step_s,
-                    min_elevation_deg=self.min_elevation_deg)
-            else:
-                predictor = PassPredictor(sat.propagator, site_location,
-                                          self.min_elevation_deg)
-                windows = predictor.find_passes(
-                    epoch, duration_s, coarse_step_s=coarse_step_s)
-            for window in windows:
-                out.append((sat, window))
+        search = (find_passes_fleet if ephemeris_cache is None
+                  else ephemeris_cache.find_passes_fleet)
+        per_sat = search([sat.propagator for sat in satellites],
+                         [self.stations[0].location], epoch, duration_s,
+                         coarse_step_s=coarse_step_s,
+                         min_elevation_deg=self.min_elevation_deg)
+        out = [(sat, window) for sat, rows in zip(satellites, per_sat)
+               for window in rows[0]]
         out.sort(key=lambda pair: pair[1].rise_s)
         return out
 

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..constellations.catalog import Constellation
 
 from ..orbits.frames import GeodeticPoint
-from ..orbits.passes import PassPredictor
+from ..orbits.passes import find_passes_fleet
 from ..orbits.timebase import Epoch
 
 __all__ = ["OperatorGroundStation", "TIANQI_GROUND_STATIONS",
@@ -138,19 +138,26 @@ class GroundSegment:
         #: when a ground station is in view at uplink time.
         self.processing_batch_s = processing_batch_s
 
+        # One engine call per distinct station mask.
+        by_mask: Dict[float, List[GeodeticPoint]] = {}
+        for station in stations:
+            by_mask.setdefault(station.min_elevation_deg,
+                               []).append(station.location)
+        satellites = list(constellation)
+        spans: List[List[Tuple[float, float]]] = [[] for _ in satellites]
+        for mask, locations in by_mask.items():
+            per_sat = find_passes_fleet(
+                [sat.propagator for sat in satellites], locations, epoch,
+                duration_s, coarse_step_s=coarse_step_s,
+                min_elevation_deg=mask)
+            for sat_spans, rows in zip(spans, per_sat):
+                sat_spans.extend((w.rise_s, w.set_s)
+                                 for windows in rows for w in windows)
         # Per satellite: sorted list of (offload_start, offload_end).
         self._windows: Dict[int, List[Tuple[float, float]]] = {}
-        for satellite in constellation:
-            spans: List[Tuple[float, float]] = []
-            for station in stations:
-                predictor = PassPredictor(satellite.propagator,
-                                          station.location,
-                                          station.min_elevation_deg)
-                for window in predictor.find_passes(
-                        epoch, duration_s, coarse_step_s=coarse_step_s):
-                    spans.append((window.rise_s, window.set_s))
-            spans.sort()
-            self._windows[satellite.norad_id] = spans
+        for satellite, sat_spans in zip(satellites, spans):
+            sat_spans.sort()
+            self._windows[satellite.norad_id] = sat_spans
 
     # ------------------------------------------------------------------
     def offload_windows(self, norad_id: int) -> List[Tuple[float, float]]:

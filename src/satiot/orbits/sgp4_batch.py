@@ -48,7 +48,6 @@ is unaffected.
 
 from __future__ import annotations
 
-import os
 from typing import List, Sequence, Tuple, Union
 
 import numpy as np
@@ -58,22 +57,9 @@ from .sgp4 import SGP4, DecayedError, SGP4Error
 from .timebase import Epoch
 from .tle import TLE
 
-__all__ = ["SGP4Batch", "BATCH_ENV", "batching_enabled"]
+__all__ = ["SGP4Batch"]
 
 ArrayLike = Union[float, np.ndarray]
-
-#: Kill switch: set to 0/false/off to force every fleet-level consumer
-#: (scheduler, serving, fleet sweeps) back onto the per-satellite
-#: scalar path.  Results are bit-identical either way — the switch
-#: exists for A/B verification and debugging, not correctness.
-BATCH_ENV = "SATIOT_BATCH_SGP4"
-
-
-def batching_enabled() -> bool:
-    """Whether fleet-level consumers should use the batched kernel."""
-    return os.environ.get(BATCH_ENV, "1").strip().lower() not in (
-        "0", "false", "off", "no")
-
 
 #: Scalar sgp4init products stacked into (N, 1) coefficient columns.
 _COEF_FIELDS = (

@@ -57,15 +57,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..faults import fault_fires
-from ..orbits.frames import GeodeticPoint, teme_to_ecef
+from ..orbits.frames import GeodeticPoint
 from ..orbits.passes import (ContactWindow, PassPredictor,
-                             _windows_from_ecef, observer_geometry)
-from ..orbits.passes import find_passes_multi as _orbits_find_passes_multi
+                             find_passes_fleet)
 from ..orbits.sgp4 import SGP4
 from ..orbits.sgp4_batch import SGP4Batch
 from ..orbits.timebase import Epoch
@@ -289,14 +288,6 @@ class EphemerisCache:
         self._disk_store(key, {"r": r, "v": v})
         return r, v
 
-    def grid_provider(self, propagator: SGP4,
-                      ) -> Callable[[Epoch, np.ndarray],
-                                    Tuple[np.ndarray, np.ndarray]]:
-        """A ``PassPredictor``-compatible coarse-grid provider."""
-        def provider(epoch: Epoch, offsets: np.ndarray):
-            return self.propagation_grid(propagator, epoch, offsets)
-        return provider
-
     # ------------------------------------------------------------------
     # Constellation grids
     # ------------------------------------------------------------------
@@ -491,93 +482,9 @@ class EphemerisCache:
                 self._record_extent(tles, epoch, prefix)
         return self.constellation_grid(propagators, epoch, offsets_s)
 
-    def fleet_grid_provider(self, propagators: Sequence[SGP4],
-                            ) -> Callable[[Epoch, np.ndarray],
-                                          Tuple[np.ndarray, np.ndarray]]:
-        """A ``find_passes_fleet``-compatible fleet grid provider."""
-        propagators = list(propagators)
-
-        def provider(epoch: Epoch, offsets: np.ndarray):
-            return self.constellation_grid(propagators, epoch, offsets)
-        return provider
-
     # ------------------------------------------------------------------
     # Pass predictions
     # ------------------------------------------------------------------
-    def find_passes(self, propagator: SGP4, observer: GeodeticPoint,
-                    epoch: Epoch, duration_s: float,
-                    coarse_step_s: float = 30.0,
-                    min_elevation_deg: float = 0.0,
-                    refine_tol_s: float = 0.5,
-                    refine: str = "bisect") -> List[ContactWindow]:
-        """Cached equivalent of ``PassPredictor.find_passes``."""
-        key = self.pass_key(propagator.tle, observer, epoch, duration_s,
-                            coarse_step_s, min_elevation_deg,
-                            refine_tol_s, refine)
-        cached = self._lookup_passes(key)
-        if cached is not None:
-            return list(cached)
-        self.stats.pass_misses += 1
-        predictor = PassPredictor(propagator, observer,
-                                  min_elevation_deg,
-                                  grid_provider=self.grid_provider(
-                                      propagator))
-        windows = tuple(predictor.find_passes(
-            epoch, duration_s, coarse_step_s=coarse_step_s,
-            refine_tol_s=refine_tol_s, refine=refine))
-        self._store_passes(key, windows)
-        return list(windows)
-
-    def find_passes_multi(self, propagator: SGP4,
-                          observers: Sequence[GeodeticPoint],
-                          epoch: Epoch, duration_s: float,
-                          coarse_step_s: float = 30.0,
-                          min_elevation_deg: float = 0.0,
-                          refine_tol_s: float = 0.5,
-                          refine: str = "bisect",
-                          geometry: Optional[Sequence[tuple]] = None,
-                          ) -> List[List[ContactWindow]]:
-        """Cached multi-observer pass prediction (one list per observer).
-
-        Per-observer window lists hit the same cache entries as serial
-        :meth:`find_passes` calls — the batch path's bit-identity
-        contract is what makes the shared keys sound.  Only the
-        observers that miss are computed, in one
-        :func:`~satiot.orbits.passes.find_passes_multi` sweep over the
-        shared (cached) propagation grid.
-        """
-        observers = list(observers)
-        results: List[Optional[List[ContactWindow]]] = \
-            [None] * len(observers)
-        missing: List[int] = []
-        keys: List[tuple] = []
-        for idx, observer in enumerate(observers):
-            key = self.pass_key(propagator.tle, observer, epoch,
-                                duration_s, coarse_step_s,
-                                min_elevation_deg, refine_tol_s, refine)
-            keys.append(key)
-            cached = self._lookup_passes(key)
-            if cached is not None:
-                results[idx] = list(cached)
-            else:
-                missing.append(idx)
-        if missing:
-            self.stats.pass_misses += len(missing)
-            sub_geometry = None
-            if geometry is not None:
-                sub_geometry = [geometry[i] for i in missing]
-            computed = _orbits_find_passes_multi(
-                propagator, [observers[i] for i in missing], epoch,
-                duration_s, coarse_step_s=coarse_step_s,
-                min_elevation_deg=min_elevation_deg,
-                refine_tol_s=refine_tol_s, refine=refine,
-                grid_provider=self.grid_provider(propagator),
-                geometry=sub_geometry)
-            for idx, windows in zip(missing, computed):
-                self._store_passes(keys[idx], tuple(windows))
-                results[idx] = windows
-        return results  # type: ignore[return-value]
-
     def find_passes_fleet(self, propagators: Sequence[SGP4],
                           observers: Sequence[GeodeticPoint],
                           epoch: Epoch, duration_s: float,
@@ -585,18 +492,15 @@ class EphemerisCache:
                           min_elevation_deg: float = 0.0,
                           refine_tol_s: float = 0.5,
                           refine: str = "bisect",
-                          geometry: Optional[Sequence[tuple]] = None,
                           ) -> List[List[List[ContactWindow]]]:
         """Cached fleet pass prediction: ``results[sat][observer]``.
 
-        Every (satellite, observer) window list hits the **same** cache
-        entries as serial :meth:`find_passes` /
-        :meth:`find_passes_multi` calls — key compatibility rests on
-        the batched kernel's bit-identity.  Missing pairs are computed
-        through the fleet path: one cached
-        :meth:`constellation_grid` fill, then one shared TEME→ECEF
-        conversion (GMST evaluated once) restricted to the satellites
-        that actually miss.
+        Memoising front of :func:`satiot.orbits.passes.find_passes_fleet`
+        (one satellite or one observer are just the degenerate cases).
+        Every (satellite, observer) window list has its own cache entry;
+        pairs that miss are computed by the engine over one cached
+        :meth:`constellation_grid` fill, one call per distinct set of
+        missing observers (usually one: cold, or one new observer).
         """
         propagators = list(propagators)
         observers = list(observers)
@@ -604,7 +508,8 @@ class EphemerisCache:
         results: List[List[Optional[List[ContactWindow]]]] = \
             [[None] * n_obs for _ in propagators]
         keys: List[List[tuple]] = []
-        missing_by_sat: List[List[int]] = []
+        # Missing observer indices -> satellites missing exactly those.
+        misses: Dict[Tuple[int, ...], List[int]] = {}
         for i, propagator in enumerate(propagators):
             sat_keys: List[tuple] = []
             missing: List[int] = []
@@ -620,31 +525,31 @@ class EphemerisCache:
                 else:
                     missing.append(m)
             keys.append(sat_keys)
-            missing_by_sat.append(missing)
+            if missing:
+                misses.setdefault(tuple(missing), []).append(i)
 
-        miss_sats = [i for i, missing in enumerate(missing_by_sat)
-                     if missing]
-        if miss_sats:
+        if misses:
             self.stats.pass_misses += sum(
-                len(missing_by_sat[i]) for i in miss_sats)
+                len(missing) * len(sats)
+                for missing, sats in misses.items())
             offsets = PassPredictor.coarse_offsets(duration_s,
                                                    coarse_step_s)
             r, _ = self.constellation_grid(propagators, epoch, offsets)
-            jd = epoch.offset_jd(offsets)
-            # One GMST + rotation for all satellites that miss.
-            r_ecef = teme_to_ecef(r[miss_sats], jd)
-            if geometry is None:
-                geometry = observer_geometry(observers)
-            for row, i in enumerate(miss_sats):
-                missing = missing_by_sat[i]
-                computed = _windows_from_ecef(
-                    propagators[i], [observers[m] for m in missing],
-                    [geometry[m] for m in missing], epoch, offsets,
-                    r_ecef[row], min_elevation_deg, refine_tol_s,
-                    refine)
-                for m, windows in zip(missing, computed):
-                    self._store_passes(keys[i][m], tuple(windows))
-                    results[i][m] = windows
+            for missing, sats in misses.items():
+                # The whole stack when every satellite misses: a row
+                # copy would stay alive for the whole engine call.
+                rows = r if len(sats) == len(propagators) else r[sats]
+                computed = find_passes_fleet(
+                    [propagators[i] for i in sats],
+                    [observers[m] for m in missing], epoch, duration_s,
+                    coarse_step_s=coarse_step_s,
+                    min_elevation_deg=min_elevation_deg,
+                    refine_tol_s=refine_tol_s, refine=refine,
+                    positions=rows)
+                for i, per_obs in zip(sats, computed):
+                    for m, windows in zip(missing, per_obs):
+                        self._store_passes(keys[i][m], tuple(windows))
+                        results[i][m] = windows
         return results  # type: ignore[return-value]
 
     # ------------------------------------------------------------------

@@ -59,14 +59,13 @@ class ServingConfig:
     constellations: Tuple[str, ...] = (DEFAULT_CONSTELLATION,)
     #: coalescing window armed by the first request of a batch
     window_s: float = 0.002
-    #: flush immediately once this many requests are pending
+    #: flush immediately once this many requests are pending (1 serves
+    #: each request serially)
     max_batch: int = 256
     #: queue bound; submissions beyond it are rejected with 429
     max_pending: int = 1024
     #: Retry-After hint (seconds) sent with 429 responses
     retry_after_s: float = 0.5
-    #: master switch — False degrades to per-request serial handling
-    batching: bool = True
     cache_ttl_s: float = 60.0
     cache_entries: int = 4096
     #: coordinate quantization (decimal places) for result-cache keys
@@ -120,8 +119,7 @@ class ServingServer:
         self.service = service or ConstellationService(
             constellations=self.config.constellations,
             coarse_step_s=self.config.coarse_step_s,
-            providers=self.config.providers,
-            realtime=self.config.realtime)
+            providers=self.config.providers)
         self.clock: Optional[SimClock] = None
         if self.config.realtime:
             self.clock = SimClock(rate=self.config.rate,
@@ -135,7 +133,6 @@ class ServingServer:
         # event loop never blocks on compute.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="satiot-serving")
-        max_batch = self.config.max_batch if self.config.batching else 1
         handlers = {
             "passes": self.service.passes_batch,
             "presence": self.service.presence_batch,
@@ -145,7 +142,7 @@ class ServingServer:
         self._batchers: Dict[str, MicroBatcher] = {
             name: MicroBatcher(
                 handler,
-                max_batch=max_batch,
+                max_batch=self.config.max_batch,
                 window_s=self.config.window_s,
                 max_pending=self.config.max_pending,
                 retry_after_s=self.config.retry_after_s,

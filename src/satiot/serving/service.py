@@ -11,16 +11,13 @@ concurrent requests into shared array work:
   breakdown, link margin, Doppler and airtime at one instant.
 
 Batched requests that share query parameters are grouped and answered
-through the fleet fast path
+through the pass engine's cache front
 (:meth:`satiot.runtime.EphemerisCache.find_passes_fleet`): the whole
 constellation is propagated as one struct-of-arrays
 :class:`~satiot.orbits.sgp4_batch.SGP4Batch` call over the shared
 grid, with GMST and the TEME→ECEF conversion computed once per group
-rather than once per satellite (set ``SATIOT_BATCH_SGP4=0`` to fall
-back to the per-satellite multi-observer sweep).  A group of one falls
-back to the serial per-observer path — by the batch layer's
-bit-identity contract all paths produce identical windows and share
-cache entries, so mixing them is safe.
+rather than once per satellite.  A group of one is the same call with
+one observer.
 
 All handlers are synchronous and thread-safe under the serving layer's
 single-worker executor (one batch in flight at a time per batcher).
@@ -39,8 +36,7 @@ from ..core.stats import merge_intervals, total_length
 from ..econ.providers import ProviderSpec, get_provider, provider_names
 from ..orbits.doppler import doppler_shift_hz
 from ..orbits.frames import GeodeticPoint
-from ..orbits.passes import ContactWindow, observer_geometry
-from ..orbits.sgp4_batch import batching_enabled
+from ..orbits.passes import ContactWindow
 from ..orbits.timebase import Epoch
 from ..orbits.topocentric import ecef_states, look_angles_from_ecef
 from ..phy.link_budget import LinkBudget
@@ -404,16 +400,10 @@ class ConstellationService:
                  epochyr: int = 24, epochdays: float = 245.0,
                  seed: int = 7,
                  extra: Sequence[Constellation] = (),
-                 providers: Optional[Sequence[str]] = None,
-                 realtime: bool = False) -> None:
+                 providers: Optional[Sequence[str]] = None) -> None:
         if coarse_step_s <= 0:
             raise ValueError("coarse_step_s must be positive")
         self.coarse_step_s = float(coarse_step_s)
-        # Digital-twin mode: consecutive ``start=now`` queries produce
-        # strictly growing spans, so even single-observer groups are
-        # routed through the constellation-batched fleet path — that is
-        # the path whose grids the ephemeris tier extends incrementally.
-        self.realtime = bool(realtime)
         self.refine = refine
         self.refine_tol_s = float(refine_tol_s)
         self.ephemeris = ephemeris or EphemerisCache()
@@ -535,47 +525,17 @@ class ConstellationService:
         horizon_s = float(start_s) + float(horizon_s)
         per_observer: List[List[ContactWindow]] = \
             [[] for _ in observers]
-        if len(observers) == 1 and not (self.realtime
-                                        and batching_enabled()):
-            # Serial per-observer path: identical results by the batch
-            # layer's bit-identity contract, and the honest baseline for
-            # the unbatched serving mode.  Realtime twins skip it — only
-            # the constellation-batched path below publishes the grids
-            # the incremental extension tier grows.
-            for sat in const:
-                windows = self.ephemeris.find_passes(
-                    sat.propagator, observers[0], epoch, horizon_s,
-                    coarse_step_s=self.coarse_step_s,
-                    min_elevation_deg=min_elevation_deg,
-                    refine_tol_s=self.refine_tol_s, refine=self.refine)
-                per_observer[0].extend(windows)
-        elif batching_enabled():
-            # Fleet flush: all N satellites x M observers through one
-            # constellation-batched propagation, one GMST/ECEF pass and
-            # one shared observer-geometry precompute.  Extension stays
-            # satellite-major, so responses are byte-identical to the
-            # per-satellite loop below (stable rise-time sort).
-            geometry = observer_geometry(observers)
-            per_sat = self.ephemeris.find_passes_fleet(
-                [sat.propagator for sat in const], observers, epoch,
-                horizon_s, coarse_step_s=self.coarse_step_s,
-                min_elevation_deg=min_elevation_deg,
-                refine_tol_s=self.refine_tol_s, refine=self.refine,
-                geometry=geometry)
-            for rows in per_sat:
-                for windows, acc in zip(rows, per_observer):
-                    acc.extend(windows)
-        else:
-            geometry = observer_geometry(observers)
-            for sat in const:
-                rows = self.ephemeris.find_passes_multi(
-                    sat.propagator, observers, epoch, horizon_s,
-                    coarse_step_s=self.coarse_step_s,
-                    min_elevation_deg=min_elevation_deg,
-                    refine_tol_s=self.refine_tol_s, refine=self.refine,
-                    geometry=geometry)
-                for windows, acc in zip(rows, per_observer):
-                    acc.extend(windows)
+        # All N satellites x M observers through one constellation-
+        # batched propagation and one GMST/ECEF pass.  Extension stays
+        # satellite-major ahead of the stable rise-time sort below.
+        per_sat = self.ephemeris.find_passes_fleet(
+            [sat.propagator for sat in const], observers, epoch,
+            horizon_s, coarse_step_s=self.coarse_step_s,
+            min_elevation_deg=min_elevation_deg,
+            refine_tol_s=self.refine_tol_s, refine=self.refine)
+        for rows in per_sat:
+            for windows, acc in zip(rows, per_observer):
+                acc.extend(windows)
         for acc in per_observer:
             acc.sort(key=lambda w: w.rise_s)
         return per_observer

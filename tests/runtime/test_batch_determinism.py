@@ -1,10 +1,12 @@
-"""Batching on/off determinism + constellation-grid key compatibility.
+"""Fleet pass-engine determinism + constellation-grid key compatibility.
 
-The batched SGP4 path (``SATIOT_BATCH_SGP4``, default on) is a pure
-performance substitution: every consumer — campaign scheduler, fleet
-sweep, serving flush — must produce **byte-identical** output with the
-flag on or off.  These tests pin that contract, plus the cache-key
-compatibility that lets fleet fills satisfy single-satellite lookups.
+Every consumer of :func:`satiot.orbits.passes.find_passes_fleet` —
+campaign scheduler, serving flush — must produce **byte-identical**
+output whether satellites and observers are batched together or
+alone, cached or not, and must equal the scalar
+:meth:`~satiot.orbits.passes.PassPredictor.find_passes` reference.
+These tests pin that contract, plus the cache-key compatibility that
+lets fleet fills satisfy single-satellite lookups.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ import numpy as np
 import pytest
 
 from satiot.constellations.catalog import build_constellation
-from satiot.core.campaign import PassiveCampaign, PassiveCampaignConfig
-from satiot.orbits.sgp4_batch import BATCH_ENV, batching_enabled
+from satiot.core.campaign import (PassiveCampaign, PassiveCampaignConfig,
+                                  _campaign_inputs)
+from satiot.core.sites import SITES
+from satiot.orbits.passes import PassPredictor
 from satiot.runtime.ephemeris_cache import EphemerisCache
 from satiot.serving.service import (ConstellationService, PassesRequest,
                                     PresenceRequest)
@@ -27,34 +31,47 @@ pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 CFG = dict(sites=("HK",), constellations=("tianqi",), days=0.5, seed=7)
 
 
-def _run_campaign(monkeypatch, batch: str):
-    monkeypatch.setenv(BATCH_ENV, batch)
-    # Fresh memory cache per run: a shared cache would serve run B the
-    # pass lists computed by run A and mask the code path under test.
+def _run_campaign(cache):
+    # A fresh memory cache per run: a shared cache would serve run B
+    # the pass lists computed by run A and mask the code path under test.
     return PassiveCampaign(PassiveCampaignConfig(**CFG), workers=1,
-                           ephemeris_cache="memory").run()
+                           ephemeris_cache=cache).run()
 
 
 class TestCampaignBatchingDeterminism:
-    def test_campaign_columns_identical_on_off(self, monkeypatch):
-        batched = _run_campaign(monkeypatch, "1")
-        unbatched = _run_campaign(monkeypatch, "0")
-        assert batched.total_traces == unbatched.total_traces > 0
-        assert_columns_bit_identical(batched.dataset, unbatched.dataset)
+    """The scheduler's fleet pass search, through the cache or not."""
 
-    def test_schedules_identical_on_off(self, monkeypatch):
-        batched = _run_campaign(monkeypatch, "1")
-        unbatched = _run_campaign(monkeypatch, "0")
+    def test_campaign_columns_identical_on_off(self):
+        cached = _run_campaign("memory")
+        uncached = _run_campaign(None)
+        assert cached.total_traces == uncached.total_traces > 0
+        assert_columns_bit_identical(cached.dataset, uncached.dataset)
+
+    def test_schedules_identical_on_off(self):
+        cached = _run_campaign("memory")
+        uncached = _run_campaign(None)
+        cfg = PassiveCampaignConfig(**CFG)
+        _, satellites, epoch = _campaign_inputs(cfg)
         for code in CFG["sites"]:
-            sched_a = batched.site_results[code].schedule
-            sched_b = unbatched.site_results[code].schedule
+            sched_a = cached.site_results[code].schedule
+            sched_b = uncached.site_results[code].schedule
             assert len(sched_a.assigned) == len(sched_b.assigned) > 0
-            for a, b in zip(sched_a.assigned, sched_b.assigned):
-                assert a.satellite.norad_id == b.satellite.norad_id
-                assert a.window.rise_s == b.window.rise_s
-                assert a.window.set_s == b.window.set_s
-                assert a.window.max_elevation_deg == \
-                    b.window.max_elevation_deg
+            assert sched_a.assigned == sched_b.assigned
+            assert sched_a.dropped == sched_b.dropped
+            # Every predicted window, assigned or dropped, equals the
+            # nested scalar reference for its (satellite, site).
+            got = sorted(
+                [(p.satellite.norad_id, p.window)
+                 for p in sched_a.assigned]
+                + [(sat.norad_id, w) for sat, w in sched_a.dropped],
+                key=lambda pair: (pair[0], pair[1].rise_s))
+            ref = [(sat.norad_id, w) for sat in satellites
+                   for w in PassPredictor(
+                       sat.propagator, SITES[code].location,
+                       cfg.min_elevation_deg).find_passes(
+                           epoch, cfg.duration_s,
+                           coarse_step_s=cfg.coarse_step_s)]
+            assert got == ref
 
 
 def _observer_params():
@@ -65,28 +82,32 @@ def _observer_params():
 
 
 class TestServingBatchingDeterminism:
-    def test_passes_payloads_identical_on_off(self, monkeypatch):
+    """A micro-batch of one answers exactly as inside a batch of four.
+
+    Each call gets a fresh service, so both payloads are computed (no
+    pass-cache hit can stand in for either side).
+    """
+
+    def test_passes_payloads_identical_on_off(self):
         requests = [PassesRequest.from_params(
             {**p, "horizon_s": 6 * 3600.0}) for p in _observer_params()]
-        monkeypatch.setenv(BATCH_ENV, "1")
-        on = ConstellationService(coarse_step_s=60.0).passes_batch(
+        grouped = ConstellationService(coarse_step_s=60.0).passes_batch(
             requests)
-        monkeypatch.setenv(BATCH_ENV, "0")
-        off = ConstellationService(coarse_step_s=60.0).passes_batch(
-            requests)
-        assert on == off
-        assert any(p["count"] > 0 for p in on)
+        for request, payload in zip(requests, grouped):
+            alone = ConstellationService(
+                coarse_step_s=60.0).passes_batch([request])
+            assert alone == [payload]
+        assert any(p["count"] > 0 for p in grouped)
 
-    def test_presence_payloads_identical_on_off(self, monkeypatch):
+    def test_presence_payloads_identical_on_off(self):
         requests = [PresenceRequest.from_params(
             {**p, "horizon_s": 6 * 3600.0}) for p in _observer_params()]
-        monkeypatch.setenv(BATCH_ENV, "1")
-        on = ConstellationService(coarse_step_s=60.0).presence_batch(
-            requests)
-        monkeypatch.setenv(BATCH_ENV, "0")
-        off = ConstellationService(coarse_step_s=60.0).presence_batch(
-            requests)
-        assert on == off
+        grouped = ConstellationService(
+            coarse_step_s=60.0).presence_batch(requests)
+        for request, payload in zip(requests, grouped):
+            alone = ConstellationService(
+                coarse_step_s=60.0).presence_batch([request])
+            assert alone == [payload]
 
 
 class TestConstellationGridKeyCompat:
@@ -147,8 +168,9 @@ class TestConstellationGridKeyCompat:
             assert np.array_equal(r[i], r_ref)
             assert np.array_equal(v[i], v_ref)
 
-    def test_fleet_passes_match_scalar_cache_path(self, fleet,
-                                                  monkeypatch):
+    def test_fleet_passes_match_scalar_cache_path(self, fleet):
+        """A 6x2 fleet fill equals one-pair-at-a-time cache calls and
+        the scalar reference."""
         from satiot.orbits.frames import GeodeticPoint
         props, epoch, offsets = fleet
         observers = [GeodeticPoint(22.3, 114.2, 0.0),
@@ -157,23 +179,12 @@ class TestConstellationGridKeyCompat:
         per = fleet_cache.find_passes_fleet(
             props[:6], observers, epoch, 6 * 3600.0,
             coarse_step_s=60.0, min_elevation_deg=10.0)
-        scalar_cache = EphemerisCache()
+        pair_cache = EphemerisCache()
         for n, prop in enumerate(props[:6]):
             for m, obs in enumerate(observers):
-                ref = scalar_cache.find_passes(
-                    prop, obs, epoch, 6 * 3600.0, coarse_step_s=60.0,
+                [[pair]] = pair_cache.find_passes_fleet(
+                    [prop], [obs], epoch, 6 * 3600.0, coarse_step_s=60.0,
                     min_elevation_deg=10.0)
-                assert list(per[n][m]) == list(ref)
-
-
-class TestBatchingFlag:
-    def test_default_is_enabled(self, monkeypatch):
-        monkeypatch.delenv(BATCH_ENV, raising=False)
-        assert batching_enabled() is True
-
-    def test_disable_spellings(self, monkeypatch):
-        for value in ("0", "false", "off", "no"):
-            monkeypatch.setenv(BATCH_ENV, value)
-            assert batching_enabled() is False
-        monkeypatch.setenv(BATCH_ENV, "1")
-        assert batching_enabled() is True
+                ref = PassPredictor(prop, obs, 10.0).find_passes(
+                    epoch, 6 * 3600.0, coarse_step_s=60.0)
+                assert per[n][m] == pair == ref

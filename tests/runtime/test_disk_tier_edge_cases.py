@@ -40,6 +40,13 @@ def fresh_grid(sat):
     return np.asarray(r, dtype=float), np.asarray(v, dtype=float)
 
 
+def passes(cache, sat):
+    """One satellite over HK through the cache's fleet front."""
+    [[windows]] = cache.find_passes_fleet([sat], [HK], sat.tle.epoch,
+                                          DAY_S)
+    return windows
+
+
 def warm_entry(sat, disk_dir):
     """Populate one grid entry on disk and return its path."""
     writer = EphemerisCache(disk_dir=disk_dir)
@@ -117,14 +124,14 @@ class TestCorruptEntries:
     def test_corrupt_pass_entry_recomputed_identically(self, sat,
                                                        tmp_path):
         writer = EphemerisCache(disk_dir=tmp_path)
-        reference = writer.find_passes(sat, HK, sat.tle.epoch, DAY_S)
+        reference = passes(writer, sat)
         assert reference == PassPredictor(sat, HK).find_passes(
             sat.tle.epoch, DAY_S)
         for path in tmp_path.glob("passes-*.npz"):
             path.write_bytes(b"rot")
         cache = EphemerisCache(disk_dir=tmp_path)
         with pytest.warns(RuntimeWarning):
-            again = cache.find_passes(sat, HK, sat.tle.epoch, DAY_S)
+            again = passes(cache, sat)
         assert again == reference
         assert cache.stats.disk_corrupt >= 1
 
@@ -175,7 +182,7 @@ class TestVanishingStore:
         blocker.write_bytes(b"file")
         cache = EphemerisCache(disk_dir=blocker / "cache")
         with pytest.warns(RuntimeWarning):
-            windows = cache.find_passes(sat, HK, sat.tle.epoch, DAY_S)
+            windows = passes(cache, sat)
         assert windows == PassPredictor(sat, HK).find_passes(
             sat.tle.epoch, DAY_S)
         assert cache.stats.disk_errors >= 1

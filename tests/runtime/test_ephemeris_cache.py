@@ -25,6 +25,13 @@ HK = GeodeticPoint(22.30, 114.17)
 DAY_S = 86400.0
 
 
+def _passes(cache, sat, epoch, **kwargs):
+    """One satellite over HK through the cache's fleet front."""
+    [[windows]] = cache.find_passes_fleet([sat], [HK], epoch, DAY_S,
+                                          **kwargs)
+    return windows
+
+
 def _roundtrip(tle):
     line1, line2 = format_tle(tle)
     return parse_tle(line1, line2, name=tle.name)
@@ -148,13 +155,13 @@ class TestCachedPasses:
         cache = EphemerisCache()
         epoch = tle.epoch
 
-        cached = cache.find_passes(sat, HK, epoch, DAY_S)
+        cached = _passes(cache, sat, epoch)
         fresh = PassPredictor(sat, HK).find_passes(epoch, DAY_S)
         assert cached == fresh
         assert len(cached) > 0
         assert cache.stats.pass_misses == 1
 
-        again = cache.find_passes(sat, HK, epoch, DAY_S)
+        again = _passes(cache, sat, epoch)
         assert again == fresh
         assert cache.stats.pass_hits == 1
 
@@ -162,10 +169,8 @@ class TestCachedPasses:
         tle = make_test_tle()
         sat = SGP4(tle)
         cache = EphemerisCache()
-        low = cache.find_passes(sat, HK, tle.epoch, DAY_S,
-                                min_elevation_deg=0.0)
-        high = cache.find_passes(sat, HK, tle.epoch, DAY_S,
-                                 min_elevation_deg=25.0)
+        low = _passes(cache, sat, tle.epoch, min_elevation_deg=0.0)
+        high = _passes(cache, sat, tle.epoch, min_elevation_deg=25.0)
         assert cache.stats.pass_misses == 2
         assert len(high) <= len(low)
 
@@ -173,9 +178,9 @@ class TestCachedPasses:
         tle = make_test_tle()
         sat = SGP4(tle)
         cache = EphemerisCache()
-        first = cache.find_passes(sat, HK, tle.epoch, DAY_S)
+        first = _passes(cache, sat, tle.epoch)
         first.clear()
-        assert len(cache.find_passes(sat, HK, tle.epoch, DAY_S)) > 0
+        assert len(_passes(cache, sat, tle.epoch)) > 0
 
 
 class TestDiskTier:
@@ -200,10 +205,10 @@ class TestDiskTier:
         sat = SGP4(tle)
 
         writer = EphemerisCache(disk_dir=tmp_path)
-        first = writer.find_passes(sat, HK, tle.epoch, DAY_S)
+        first = _passes(writer, sat, tle.epoch)
 
         reader = EphemerisCache(disk_dir=tmp_path)
-        second = reader.find_passes(sat, HK, tle.epoch, DAY_S)
+        second = _passes(reader, sat, tle.epoch)
         assert reader.stats.disk_hits >= 1
         assert second == first
 

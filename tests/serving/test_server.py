@@ -221,7 +221,7 @@ class TestBatching:
             stats = server.metrics.endpoint("passes")
             return responses, stats.batch_histogram
 
-        config = fast_config(batching=False)
+        config = fast_config(max_batch=1)
         responses, histogram = run(with_server(config, scenario))
         assert all(status == 200 for status, _, _ in responses)
         assert set(histogram) == {1}  # every batch had size 1
