@@ -13,6 +13,10 @@ sizes (10 / 39 / 200 satellites x 8 / 27 sites):
 * **full pipeline** — complete window prediction with interp
   refinement: nested per-(satellite, observer) ``find_passes`` vs one
   ``find_passes_fleet``.
+* **bisect pipeline** — the same with bisection refinement, where the
+  scalar reference makes one SGP4 call per bisection step and the
+  fleet engine refines every crossing of the fleet in lockstep (one
+  batched call per bisection iteration).  Reported, not gated.
 
 Asserted contracts (the ISSUE acceptance numbers), checked in the same
 run that is timed:
@@ -20,7 +24,7 @@ run that is timed:
 * batched ``(r, v)`` rows are **bit-identical** (``np.array_equal``)
   to the scalar propagator's output for every satellite;
 * fleet pass lists equal the nested scalar pass lists window for
-  window, field for field;
+  window, field for field, in both refinement modes;
 * the coarse phase is >= 5x faster at 39 satellites x 27 sites.
 
 Metrics land in ``benchmarks/output/orbit_batch.json`` (CI artifact)
@@ -128,21 +132,41 @@ def _coarse_batched(props: Sequence[SGP4], epoch, offsets: np.ndarray):
 
 
 def _passes_scalar(props: Sequence[SGP4], observers, epoch,
-                   duration_s: float):
+                   duration_s: float, refine: str):
     return [[PassPredictor(prop, obs,
                            min_elevation_deg=MIN_ELEVATION_DEG)
              .find_passes(epoch, duration_s,
-                          coarse_step_s=COARSE_STEP_S, refine="interp")
+                          coarse_step_s=COARSE_STEP_S, refine=refine)
              for obs in observers]
             for prop in props]
 
 
 def _passes_fleet(props: Sequence[SGP4], observers, epoch,
-                  duration_s: float):
+                  duration_s: float, refine: str):
     return find_passes_fleet(
         props, observers, epoch, duration_s,
         coarse_step_s=COARSE_STEP_S,
-        min_elevation_deg=MIN_ELEVATION_DEG, refine="interp")
+        min_elevation_deg=MIN_ELEVATION_DEG, refine=refine)
+
+
+def _time_passes(props: Sequence[SGP4], observers, epoch,
+                 duration_s: float, refine: str) -> Tuple[float, float, int]:
+    """Time nested scalar vs fleet pass search; assert equal lists."""
+    scalar_s, scalar_passes = _time_best(
+        lambda: _passes_scalar(props, observers, epoch, duration_s,
+                               refine), 1)
+    fleet_s, fleet_passes = _time_best(
+        lambda: _passes_fleet(props, observers, epoch, duration_s,
+                              refine), 1)
+    # Identical pass lists, window for window.
+    windows = 0
+    for n in range(len(props)):
+        for m in range(len(observers)):
+            assert list(fleet_passes[n][m]) == scalar_passes[n][m], \
+                (f"{refine} pass list diverged at satellite {n}, "
+                 f"observer {m}")
+            windows += len(scalar_passes[n][m])
+    return scalar_s, fleet_s, windows
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +193,10 @@ def _run_scenario(n_sats: int, n_obs: int, duration_s: float,
             f"v diverged for satellite {prop.tle.norad_id}"
     del scalar_grids
 
-    scalar_full_s, scalar_passes = _time_best(
-        lambda: _passes_scalar(props, observers, epoch, duration_s), 1)
-    fleet_full_s, fleet_passes = _time_best(
-        lambda: _passes_fleet(props, observers, epoch, duration_s), 1)
-
-    # Identical pass lists, window for window.
-    windows = 0
-    for n in range(len(props)):
-        for m in range(len(observers)):
-            assert list(fleet_passes[n][m]) == scalar_passes[n][m], \
-                f"pass list diverged at satellite {n}, observer {m}"
-            windows += len(scalar_passes[n][m])
+    scalar_full_s, fleet_full_s, windows = _time_passes(
+        props, observers, epoch, duration_s, "interp")
+    scalar_bisect_s, fleet_bisect_s, _ = _time_passes(
+        props, observers, epoch, duration_s, "bisect")
 
     return {
         "n_sats": n_sats,
@@ -194,6 +210,9 @@ def _run_scenario(n_sats: int, n_obs: int, duration_s: float,
         "full_scalar_s": round(scalar_full_s, 6),
         "full_fleet_s": round(fleet_full_s, 6),
         "full_speedup": round(scalar_full_s / fleet_full_s, 2),
+        "bisect_scalar_s": round(scalar_bisect_s, 6),
+        "bisect_fleet_s": round(fleet_bisect_s, 6),
+        "bisect_speedup": round(scalar_bisect_s / fleet_bisect_s, 2),
     }
 
 
@@ -214,11 +233,12 @@ def run_benchmark(smoke: bool, seed: int = SEED) -> dict:
         "smoke": smoke,
         "coarse_step_s": COARSE_STEP_S,
         "min_elevation_deg": MIN_ELEVATION_DEG,
-        "refine": "interp",
+        "refine": ["interp", "bisect"],
         "speedup_floor": SPEEDUP_FLOOR,
         "anchor": {"n_sats": ANCHOR[0], "n_obs": ANCHOR[1],
                    "coarse_speedup": anchor["coarse_speedup"],
-                   "full_speedup": anchor["full_speedup"]},
+                   "full_speedup": anchor["full_speedup"],
+                   "bisect_speedup": anchor["bisect_speedup"]},
         "scenarios": rows,
     }
     write_json("orbit_batch", payload)
@@ -235,6 +255,9 @@ def run_benchmark(smoke: bool, seed: int = SEED) -> dict:
             f"full {row['full_scalar_s']:7.2f} -> "
             f"{row['full_fleet_s']:6.2f} s "
             f"({row['full_speedup']:5.1f}x)   "
+            f"bisect {row['bisect_scalar_s']:7.2f} -> "
+            f"{row['bisect_fleet_s']:6.2f} s "
+            f"({row['bisect_speedup']:5.1f}x)   "
             f"{row['windows']:5d} windows")
     lines.append(
         f"  bit-identity: (r, v) rows and all pass lists verified "

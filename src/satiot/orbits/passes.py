@@ -9,7 +9,8 @@ The finder samples elevation on a coarse grid (vectorized SGP4), then
 refines each horizon crossing.  Two refinement modes exist:
 
 ``bisect`` (default)
-    Bisection on fresh SGP4 evaluations to sub-second accuracy — the
+    Bisection on fresh SGP4 evaluations to sub-second accuracy, plus
+    one SGP4 evaluation at each parabolic culmination vertex — the
     campaign-grade mode used throughout the reproduction.
 ``interp``
     Closed-form linear interpolation of the coarse elevation samples
@@ -25,18 +26,24 @@ degenerate cases.  N satellites are propagated in one
 grid, converted to ECEF once, and elevation-tested against M observers
 with a conservative visibility-cone prefilter that skips the exact
 elevation kernel for the ~90 % of samples where a satellite is
-geometrically below an observer's horizon.
+geometrically below an observer's horizon.  Refinement then runs in
+**lockstep** over a whole block of satellites: every crossing bracket
+of every (satellite, observer) row is bisected at once, one batched
+SGP4 call (rows with their own instants) plus one per-row elevation
+evaluation per bisection iteration, and every culmination vertex is
+evaluated in one more batched call.
 :meth:`satiot.runtime.EphemerisCache.find_passes_fleet` is its only
 memoising front.  Results are **bit-identical** to nested per-pair
-:meth:`PassPredictor.find_passes` calls (same element-wise kernels,
-same refinement code paths); that scalar method is kept as the
-reference the tests and benchmarks compare against.
+:meth:`PassPredictor.find_passes` calls: the engine evaluates exactly
+the instants the scalar bisection would, with the same element-wise
+kernels.  That scalar method, one SGP4 call per bisection step, is
+kept as the reference the tests and benchmarks compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +76,28 @@ _PREFILTER_SLACK_DEG = 3.0
 #: 135 MiB RSS blocked, 1.6 GiB unblocked.  Rows are independent, so
 #: blocking leaves every window bit-identical.
 _FLEET_BLOCK_ELEMENTS = 1 << 19
+
+#: Iteration cap of lockstep bisection, the scalar reference's cap.
+_BISECT_MAX_ITER = 64
+
+
+def _check_elevation_mask(min_elevation_deg: float) -> None:
+    if min_elevation_deg < -5.0 or min_elevation_deg >= 90.0:
+        raise ValueError("unreasonable elevation mask")
+
+
+def _above_segments(above: np.ndarray) -> List[Tuple[int, int]]:
+    """Maximal above-mask runs ``[i, j)`` of a coarse boolean row."""
+    if not bool(above.any()):
+        return []
+    edges = np.diff(above.astype(np.int8))
+    starts = (np.flatnonzero(edges == 1) + 1).tolist()
+    ends = (np.flatnonzero(edges == -1) + 1).tolist()
+    if above[0]:
+        starts.insert(0, 0)
+    if above[-1]:
+        ends.append(len(above))
+    return list(zip(starts, ends))
 
 
 @dataclass(frozen=True)
@@ -124,8 +153,7 @@ class PassPredictor:
 
     def __init__(self, propagator: SGP4, observer: GeodeticPoint,
                  min_elevation_deg: float = 0.0) -> None:
-        if min_elevation_deg < -5.0 or min_elevation_deg >= 90.0:
-            raise ValueError("unreasonable elevation mask")
+        _check_elevation_mask(min_elevation_deg)
         self.propagator = propagator
         self.observer = observer
         self.min_elevation_deg = min_elevation_deg
@@ -199,23 +227,9 @@ class PassPredictor:
         if refine not in REFINE_MODES:
             raise ValueError(f"unknown refine mode {refine!r}; "
                              f"choose from {REFINE_MODES}")
-        above = elev > self.min_elevation_deg
-
         windows: List[ContactWindow] = []
         n = len(offsets)
-        if not bool(above.any()):
-            return windows
-        # Vectorized segment extraction: each maximal above-mask run is
-        # [starts[k], ends[k]).
-        edges = np.diff(above.astype(np.int8))
-        starts = (np.flatnonzero(edges == 1) + 1).tolist()
-        ends = (np.flatnonzero(edges == -1) + 1).tolist()
-        if above[0]:
-            starts.insert(0, 0)
-        if above[-1]:
-            ends.append(n)
-
-        for i, j in zip(starts, ends):
+        for i, j in _above_segments(elev > self.min_elevation_deg):
             clipped_start = i == 0
             clipped_end = j == n
             if clipped_start:
@@ -387,7 +401,8 @@ def find_passes_fleet(propagators: Sequence[SGP4],
     study fits in one), GMST and the TEME→ECEF rotation are evaluated
     **once per block** instead of once per satellite, and observer
     geometry (:func:`observer_geometry`) is computed once and reused by
-    every satellite.
+    every satellite.  Every crossing of a block is then refined in
+    lockstep (see :func:`_block_windows`).
 
     ``positions`` is the hook through which
     :meth:`satiot.runtime.EphemerisCache.find_passes_fleet` supplies a
@@ -406,6 +421,10 @@ def find_passes_fleet(propagators: Sequence[SGP4],
         return []
     if not observers:
         return [[] for _ in propagators]
+    if refine not in REFINE_MODES:
+        raise ValueError(f"unknown refine mode {refine!r}; "
+                         f"choose from {REFINE_MODES}")
+    _check_elevation_mask(min_elevation_deg)
     offsets = PassPredictor.coarse_offsets(duration_s, coarse_step_s)
     if positions is not None and \
             np.shape(positions) != (len(propagators), offsets.size, 3):
@@ -413,13 +432,14 @@ def find_passes_fleet(propagators: Sequence[SGP4],
                          f"got {np.shape(positions)}")
     jd = epoch.offset_jd(offsets)
     geometry = observer_geometry(observers)
+    sites = np.stack([site for site, _ in geometry])
+    rots = np.stack([rot for _, rot in geometry])
     block = max(1, _FLEET_BLOCK_ELEMENTS // offsets.size)
     results: List[List[List[ContactWindow]]] = []
     for lo in range(0, len(propagators), block):
-        members = propagators[lo:lo + block]
+        batch = SGP4Batch.from_propagators(propagators[lo:lo + block])
         if positions is None:
-            r, _ = SGP4Batch.from_propagators(members).propagate_offsets(
-                epoch, offsets)
+            r, _ = batch.propagate_offsets(epoch, offsets)
         else:
             r = positions[lo:lo + block]
         # One GMST + one rotation for the whole block: the jd row
@@ -430,47 +450,189 @@ def find_passes_fleet(propagators: Sequence[SGP4],
         # peak RSS on a long-lived twin.
         r_ecef_block = teme_to_ecef(np.array(r, dtype=float), jd)
         del r
-        results += [_windows_from_ecef(propagator, observers, geometry,
-                                       epoch, offsets, r_ecef,
-                                       min_elevation_deg, refine_tol_s,
-                                       refine)
-                    for propagator, r_ecef in zip(members, r_ecef_block)]
+        results += _block_windows(batch, r_ecef_block, sites, rots, epoch,
+                                  offsets, min_elevation_deg,
+                                  refine_tol_s, refine)
     return results
 
 
-def _windows_from_ecef(propagator: SGP4,
-                       observers: Sequence[GeodeticPoint],
-                       geometry: Sequence[tuple],
-                       epoch: Epoch, offsets: np.ndarray,
-                       r_ecef: np.ndarray,
-                       min_elevation_deg: float,
-                       refine_tol_s: float, refine: str,
-                       ) -> List[List[ContactWindow]]:
-    """Per-observer windows of one satellite from its ECEF grid track:
-    prefilter, exact elevation on candidate samples, then the scalar
-    refinement path — bit-identical to :meth:`PassPredictor.find_passes`
-    by construction."""
-    sites = np.stack([site for site, _ in geometry])
-    cand = _visibility_prefilter(sites, r_ecef, min_elevation_deg)
-    n = offsets.size
-    rows: List[List[ContactWindow]] = []
-    for m, observer in enumerate(observers):
-        predictor = PassPredictor(propagator, observer, min_elevation_deg)
-        site, rot = geometry[m]
-        idx = np.nonzero(cand[m])[0]
-        if idx.size == n:
-            elev_row = np.asarray(
-                elevation_from_ecef(observer, r_ecef, site, rot))
+def _block_windows(batch: SGP4Batch, r_ecef_block: np.ndarray,
+                   sites: np.ndarray, rots: np.ndarray, epoch: Epoch,
+                   offsets: np.ndarray, mask: float, tol: float,
+                   refine: str) -> List[List[List[ContactWindow]]]:
+    """Windows of one satellite block over every observer.
+
+    1. *Collect*: the above-mask segments of every (satellite,
+       observer) coarse row, in the scalar reference's order
+       (satellite-major, then observer, then segment).  Each unclipped
+       segment end is a crossing bracket; each segment's grid maximum
+       yields a parabolic culmination vertex.
+    2. *Refine*: ``bisect`` bisects every crossing of the block in
+       lockstep (:func:`_bisect_lockstep`) and evaluates every vertex in
+       one batched call; ``interp`` uses the closed forms on the grid
+       samples.
+    3. *Assemble* the windows in collection order.
+
+    Every step repeats the scalar :meth:`PassPredictor.windows_from_coarse`
+    arithmetic element for element, so the windows are bit-identical.
+    """
+    n_sats, n_obs, n_t = len(r_ecef_block), len(sites), offsets.size
+    # (sat, obs, clipped_start, clipped_end) of each segment.
+    segments: List[Tuple[int, int, bool, bool]] = []
+    culms: List[tuple] = []              # see _culmination_vertex
+    ends: List[float] = []               # rise and set of each segment
+    # Crossing brackets [offsets[k], offsets[k + 1]], in segment order.
+    cross_pos: List[int] = []            # index into ``ends``
+    cross_row: List[Tuple[int, int, int, bool]] = []  # sat, obs, k, rising
+    cross_elev: List[Tuple[float, float]] = []        # elev[k], elev[k+1]
+    for sat, r_ecef in enumerate(r_ecef_block):
+        cand = _visibility_prefilter(sites, r_ecef, mask)
+        for obs in range(n_obs):
+            elev = _coarse_elevation(r_ecef, cand[obs], sites[obs],
+                                     rots[obs])
+            for i, j in _above_segments(elev > mask):
+                for k, rising, clipped, edge in (
+                        (i - 1, True, i == 0, i),
+                        (j - 1, False, j == n_t, j - 1)):
+                    if clipped:
+                        ends.append(offsets[edge])
+                    else:
+                        cross_pos.append(len(ends))
+                        cross_row.append((sat, obs, k, rising))
+                        cross_elev.append((elev[k], elev[k + 1]))
+                        ends.append(0.0)
+                segments.append((sat, obs, i == 0, j == n_t))
+                culms.append(_culmination_vertex(offsets[i:j], elev[i:j],
+                                                 refine))
+    deltas = np.array([float(epoch - tle.epoch) for tle in batch.tles])
+    times = np.array(ends, dtype=float)
+    if cross_pos:
+        sat, obs, k, rising = (np.array(col) for col in zip(*cross_row))
+        lo, hi = offsets[k], offsets[k + 1]
+        if refine == "bisect":
+            times[cross_pos] = _bisect_lockstep(
+                batch.subset(sat), deltas[sat], sites[obs], rots[obs],
+                epoch, lo, hi, rising, mask, tol)
         else:
-            # Samples outside the candidate set are provably below the
-            # mask; any below-mask filler keeps the window extraction
-            # bit-identical (crossing neighbours are inside the dilated
-            # candidate set, hence exact).
-            elev_row = np.full(n, -90.0)
-            if idx.size:
-                elev_row[idx] = elevation_from_ecef(
-                    observer, r_ecef[idx], site, rot)
-        rows.append(predictor.windows_from_coarse(
-            epoch, offsets, elev_row, refine_tol_s=refine_tol_s,
-            refine=refine))
-    return rows
+            e_lo, e_hi = np.array(cross_elev).T
+            times[cross_pos] = _interp_crossings(lo, hi, e_lo, e_hi, mask)
+
+    vertex = [s for s, culm in enumerate(culms) if culm[3] is None
+              and culm[2] is not None]
+    if vertex:
+        # bisect: the scalar path's one SGP4 evaluation per vertex, all
+        # vertices of the block in one call.
+        sat, obs = np.array([segments[s][:2] for s in vertex]).T
+        el = _elevations_at(batch.subset(sat), deltas[sat],
+                            np.array([culms[s][2] for s in vertex]),
+                            sites[obs], rots[obs], epoch)
+        for s, el_para in zip(vertex, el.tolist()):
+            culms[s] = culms[s][:3] + (el_para,)
+
+    results: List[List[List[ContactWindow]]] = [
+        [[] for _ in range(n_obs)] for _ in range(n_sats)]
+    for s, ((sat, obs, clipped_start, clipped_end),
+            (t_best, el_best, t_para, el_para)) in enumerate(
+                zip(segments, culms)):
+        rise, set_ = times[2 * s], times[2 * s + 1]
+        if t_para is not None and el_para > el_best:
+            t_best, el_best = t_para, el_para
+        t_best = min(max(t_best, rise), set_)
+        results[sat][obs].append(ContactWindow(
+            rise_s=float(rise), set_s=float(set_),
+            culmination_s=float(t_best), max_elevation_deg=float(el_best),
+            norad_id=int(batch.norad_ids[sat]),
+            clipped_start=clipped_start, clipped_end=clipped_end))
+    return results
+
+
+def _coarse_elevation(r_ecef: np.ndarray, cand: np.ndarray,
+                      site: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """One observer's coarse elevation row of one satellite track."""
+    idx = np.nonzero(cand)[0]
+    if idx.size == cand.size:
+        return np.asarray(elevation_from_ecef(None, r_ecef, site, rot))
+    # Samples outside the candidate set are provably below the mask;
+    # any below-mask filler keeps the window extraction bit-identical
+    # (crossing neighbours are inside the dilated candidate set, hence
+    # exact).
+    elev = np.full(cand.size, -90.0)
+    if idx.size:
+        elev[idx] = elevation_from_ecef(None, r_ecef[idx], site, rot)
+    return elev
+
+
+def _culmination_vertex(seg_offsets: np.ndarray, seg_elev: np.ndarray,
+                        refine: str) -> tuple:
+    """``(t_best, el_best, t_para, el_para)`` of one above-mask segment.
+
+    The grid maximum and the parabolic vertex through it and its
+    neighbours (``t_para`` is ``None`` without one), exactly as the
+    scalar reference's culmination refinement computes them
+    (``bisect``: ``el_para`` is ``None``, left to the batched SGP4
+    evaluation; ``interp``: closed form).
+    """
+    k = int(np.argmax(seg_elev))
+    t_best, el_best = float(seg_offsets[k]), float(seg_elev[k])
+    if not 0 < k < len(seg_offsets) - 1:
+        return t_best, el_best, None, None
+    t0, t1, t2 = seg_offsets[k - 1:k + 2]
+    e0, e1, e2 = seg_elev[k - 1:k + 2]
+    denom = (e0 - 2.0 * e1 + e2)
+    if not abs(denom) > 1e-12:
+        return t_best, el_best, None, None
+    t_para = float(t1 + 0.5 * (t1 - t0) * (e0 - e2) / denom)
+    if refine == "bisect":
+        return (t_best, el_best, min(max(t_para, float(seg_offsets[0])),
+                                     float(seg_offsets[-1])), None)
+    return (t_best, el_best, min(max(t_para, float(t0)), float(t2)),
+            float(e1 - 0.125 * (e0 - e2) ** 2 / denom))
+
+
+def _interp_crossings(lo: np.ndarray, hi: np.ndarray, e_lo: np.ndarray,
+                      e_hi: np.ndarray, mask: float) -> np.ndarray:
+    """Linear-interpolation crossings of brackets ``[lo, hi]``: the
+    :meth:`PassPredictor._interp_crossing` expression, vectorized, with
+    the bracket in grid order as the scalar path passes it."""
+    return lo + (mask - e_lo) / (e_hi - e_lo) * (hi - lo)
+
+
+def _bisect_lockstep(batch: SGP4Batch, deltas: np.ndarray,
+                     sites: np.ndarray, rots: np.ndarray, epoch: Epoch,
+                     lo: np.ndarray, hi: np.ndarray, rising: np.ndarray,
+                     mask: float, tol: float) -> np.ndarray:
+    """Bisect K crossing brackets at once, one SGP4 call per iteration.
+
+    Row ``k`` follows the scalar reference's bisection step for step:
+    it stays active while ``not hi - lo <= tol`` (at most
+    :data:`_BISECT_MAX_ITER` iterations), is evaluated only at the
+    midpoints the scalar loop would evaluate, and converged rows are
+    never propagated again.
+    """
+    lo, hi = lo.astype(float), hi.astype(float)
+    for _ in range(_BISECT_MAX_ITER):
+        active = np.flatnonzero(~(hi - lo <= tol))
+        if not active.size:
+            break
+        mid = 0.5 * (lo[active] + hi[active])
+        above = _elevations_at(batch.subset(active), deltas[active], mid,
+                               sites[active], rots[active], epoch) > mask
+        # rising: above at mid means the crossing is earlier.
+        earlier = above == rising[active]
+        hi[active[earlier]] = mid[earlier]
+        lo[active[~earlier]] = mid[~earlier]
+    return 0.5 * (lo + hi)
+
+
+def _elevations_at(batch: SGP4Batch, deltas: np.ndarray, t: np.ndarray,
+                   sites: np.ndarray, rots: np.ndarray,
+                   epoch: Epoch) -> np.ndarray:
+    """Elevation of row ``k`` at ``epoch + t[k]`` from observer ``k``.
+
+    The scalar reference's single-instant chain — propagate at
+    ``deltas[k] + t[k]`` seconds since the element epoch, rotate at
+    ``epoch.offset_jd(t[k])``, project — one row per instant.
+    """
+    r, _ = batch.propagate((deltas + t)[:, None])
+    r_ecef = teme_to_ecef(r[:, 0], epoch.offset_jd(t))
+    return elevation_from_ecef(None, r_ecef, sites, rots)

@@ -212,26 +212,30 @@ class SGP4Batch:
                 f"got {np.shape(tsince_s)}")
         t_len = t.shape[1]
         block = self._block_rows(t_len)
-        if block >= n:
-            return self._propagate_rows(t, slice(0, n), check_decay)
         r = np.empty((n, t_len, 3), dtype=float)
         v = np.empty((n, t_len, 3), dtype=float)
         # Ascending row order so the lowest-index decayed satellite
         # raises first, exactly like a satellite-by-satellite loop.
         for start in range(0, n, block):
             rows = slice(start, min(start + block, n))
-            r[rows], v[rows] = self._propagate_rows(t[rows], rows,
-                                                    check_decay)
+            self._propagate_rows(t[rows], rows, check_decay,
+                                 r[rows], v[rows])
         return r, v
 
     def _propagate_rows(self, t: np.ndarray, rows: slice,
-                        check_decay: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Run the kernel over a contiguous row block.
+                        check_decay: bool, r: np.ndarray,
+                        v: np.ndarray) -> None:
+        """Run the kernel over a contiguous row block into ``r``/``v``.
 
-        ``t`` is the block's ``(B, T)`` minutes-since-epoch matrix and
-        ``rows`` selects the matching coefficient rows.  Every
-        operation below is row-independent, so partitioning the fleet
-        into blocks cannot change any element's value.
+        ``t`` is the block's ``(B, T)`` minutes-since-epoch matrix,
+        ``rows`` selects the matching coefficient rows and ``r``/``v``
+        are the block's ``(B, T, 3)`` output views.  Every operation
+        below is row-independent, so partitioning the fleet into blocks
+        cannot change any element's value.  Intermediates are released
+        (``del``) as soon as the chain no longer needs them, which
+        bounds the live ``(B, T)`` temporaries, and so the heap
+        high-water mark, to a fraction of the ~70 the chain creates;
+        the operations and their order are those of the scalar kernel.
         """
         grav = self.gravity
         (ecco, inclo, nodeo, argpo, mo, bstar, no_unkozai, eta, cc1,
@@ -251,6 +255,7 @@ class SGP4Batch:
         mm = xmdf.copy()
         t2 = t * t
         nodem = nodedf + nodecf * t2
+        del nodedf
         tempa = 1.0 - cc1 * t
         tempe = bstar * cc4 * t
         templ = t2cof * t2
@@ -269,10 +274,13 @@ class SGP4Batch:
             delomg = sub(omgcof) * ts
             delmtemp = 1.0 + sub(eta) * np.cos(xmdfs)
             delm = sub(xmcof) * (delmtemp ** 3 - sub(delmo))
+            del delmtemp
             temp = delomg + delm
+            del delomg, delm
             mms = xmdfs + temp
             mm[sel] = mms
             argpm[sel] = sub(argpdf) - temp
+            del temp
             t3 = t2s * ts
             t4 = t3 * ts
             tempa[sel] = (sub(tempa) - sub(d2) * t2s - sub(d3) * t3
@@ -281,9 +289,12 @@ class SGP4Batch:
                           * (np.sin(mms) - sub(sinmao)))
             templ[sel] = (sub(templ) + sub(t3cof) * t3
                           + t4 * (sub(t4cof) + ts * sub(t5cof)))
+            del ts, t2s, xmdfs, mms, t3, t4
+        del xmdf, argpdf, t2
 
         nm = no_unkozai
         em = ecco - tempe
+        del tempe
         am = ao * tempa * tempa
 
         if check_decay:
@@ -296,21 +307,25 @@ class SGP4Batch:
                 norad = int(norad_ids[int(np.argmax(bad))])
                 raise DecayedError(
                     f"satellite {norad} decayed during propagation")
+        del tempa
         em = np.clip(em, 1.0e-6, 0.999999)
 
         mm = mm + no_unkozai * templ
+        del templ
         xlm = mm + argpm + nodem
 
         nodem = np.remainder(nodem, TWO_PI)
         argpm = np.remainder(argpm, TWO_PI)
         xlm = np.remainder(xlm, TWO_PI)
         mm = np.remainder(xlm - argpm - nodem, TWO_PI)
+        del xlm
 
         # --- long-period periodics ----------------------------------------
         axnl = em * np.cos(argpm)
         temp = 1.0 / (am * (1.0 - em * em))
         aynl = em * np.sin(argpm) + temp * aycof
         xl = mm + argpm + nodem + temp * xlcof * axnl
+        del em, temp, mm, argpm
 
         # --- Kepler's equation: per-element-converging Newton --------------
         # Mirrors the scalar path exactly: each element iterates until
@@ -320,6 +335,7 @@ class SGP4Batch:
         # ephemeris extension tier concatenate a propagated suffix onto
         # a cached prefix bit-identically.
         u = np.remainder(xl - nodem, TWO_PI)
+        del xl
         eo1 = u.copy()
         pending = np.ones(u.shape, dtype=bool)
         for _ in range(12):
@@ -327,13 +343,17 @@ class SGP4Batch:
             coseo1 = np.cos(eo1)
             tem5 = ((u - aynl * coseo1 + axnl * sineo1 - eo1)
                     / (1.0 - coseo1 * axnl - sineo1 * aynl))
+            del sineo1, coseo1
             tem5 = np.clip(tem5, -0.95, 0.95)
             eo1 = np.where(pending, eo1 + tem5, eo1)
             pending &= np.abs(tem5) >= 1.0e-12
+            del tem5
             if not pending.any():
                 break
+        del u, pending
         sineo1 = np.sin(eo1)
         coseo1 = np.cos(eo1)
+        del eo1
 
         # --- short-period periodics ----------------------------------------
         ecose = axnl * coseo1 + aynl * sineo1
@@ -344,59 +364,75 @@ class SGP4Batch:
             raise SGP4Error("semi-latus rectum went negative")
 
         rl = am * (1.0 - ecose)
+        del ecose
         rdotl = np.sqrt(am) * esine / rl
         rvdotl = np.sqrt(pl) / rl
         betal = np.sqrt(1.0 - el2)
+        del el2
         temp = esine / (1.0 + betal)
+        del esine
         sinu = am / rl * (sineo1 - aynl - axnl * temp)
         cosu = am / rl * (coseo1 - axnl + aynl * temp)
+        del am, temp, sineo1, coseo1, axnl, aynl
         su = np.arctan2(sinu, cosu)
         sin2u = (cosu + cosu) * sinu
         cos2u = 1.0 - 2.0 * sinu * sinu
+        del sinu, cosu
         temp = 1.0 / pl
+        del pl
         temp1 = 0.5 * grav.j2 * temp
         temp2 = temp1 * temp
+        del temp
 
         mrt = (rl * (1.0 - 1.5 * temp2 * betal * con41)
                + 0.5 * temp1 * x1mth2 * cos2u)
-        su = su - 0.25 * temp2 * x7thm1 * sin2u
-        xnode = nodem + 1.5 * temp2 * cosio * sin2u
-        xinc = inclo + 1.5 * temp2 * cosio * sinio * cos2u
-        mvt = rdotl - nm * temp1 * x1mth2 * sin2u / grav.xke
-        rvdot = rvdotl + nm * temp1 * (x1mth2 * cos2u
-                                       + 1.5 * con41) / grav.xke
-
-        # --- orientation vectors -------------------------------------------
-        sinsu = np.sin(su)
-        cossu = np.cos(su)
-        snod = np.sin(xnode)
-        cnod = np.cos(xnode)
-        sini = np.sin(xinc)
-        cosi = np.cos(xinc)
-        xmx = -snod * cosi
-        xmy = cnod * cosi
-        ux = xmx * sinsu + cnod * cossu
-        uy = xmy * sinsu + snod * cossu
-        uz = sini * sinsu
-        vx = xmx * cossu - cnod * sinsu
-        vy = xmy * cossu - snod * sinsu
-        vz = sini * cossu
-
-        vkmpersec = grav.radiusearthkm * grav.xke / 60.0
-        r = np.stack([mrt * ux, mrt * uy, mrt * uz],
-                     axis=-1) * grav.radiusearthkm
-        v = np.stack([mvt * ux + rvdot * vx,
-                      mvt * uy + rvdot * vy,
-                      mvt * uz + rvdot * vz], axis=-1) * vkmpersec
-
+        del rl, betal
         if check_decay:
             bad_mrt = np.any(mrt < 1.0, axis=1)
             if bad_mrt.any():
                 norad = int(norad_ids[int(np.argmax(bad_mrt))])
                 raise DecayedError(
                     f"satellite {norad} decayed during propagation")
+        su = su - 0.25 * temp2 * x7thm1 * sin2u
+        xnode = nodem + 1.5 * temp2 * cosio * sin2u
+        del nodem
+        xinc = inclo + 1.5 * temp2 * cosio * sinio * cos2u
+        del temp2
+        mvt = rdotl - nm * temp1 * x1mth2 * sin2u / grav.xke
+        rvdot = rvdotl + nm * temp1 * (x1mth2 * cos2u
+                                       + 1.5 * con41) / grav.xke
+        del rdotl, rvdotl, temp1, sin2u, cos2u
 
-        return r, v
+        # --- orientation vectors -------------------------------------------
+        sinsu = np.sin(su)
+        cossu = np.cos(su)
+        del su
+        snod = np.sin(xnode)
+        cnod = np.cos(xnode)
+        del xnode
+        sini = np.sin(xinc)
+        cosi = np.cos(xinc)
+        del xinc
+        xmx = -snod * cosi
+        xmy = cnod * cosi
+        del cosi
+        ux = xmx * sinsu + cnod * cossu
+        uy = xmy * sinsu + snod * cossu
+        uz = sini * sinsu
+        vx = xmx * cossu - cnod * sinsu
+        vy = xmy * cossu - snod * sinsu
+        vz = sini * cossu
+        del sinsu, cossu, snod, cnod, sini, xmx, xmy
+
+        # Straight into the output views: the same products and sums
+        # the scalar kernel stacks, then the same unit scaling.
+        for axis, (u_axis, v_axis) in enumerate(((ux, vx), (uy, vy),
+                                                 (uz, vz))):
+            np.multiply(mrt, u_axis, out=r[..., axis])
+            np.multiply(mvt, u_axis, out=v[..., axis])
+            v[..., axis] += rvdot * v_axis
+        r *= grav.radiusearthkm
+        v *= grav.radiusearthkm * grav.xke / 60.0
 
     def positions_at(self, epoch: Epoch,
                      offsets_s: ArrayLike) -> np.ndarray:
@@ -406,9 +442,23 @@ class SGP4Batch:
 
     # ------------------------------------------------------------------
     def subset(self, indices: Sequence[int]) -> "SGP4Batch":
-        """A new batch over a row subset (stacks the same propagators)."""
-        props = [self.propagators[int(i)] for i in indices]
-        return SGP4Batch.from_propagators(props)
+        """A new batch over a row subset; rows may repeat.
+
+        Indexes the stacked coefficient columns instead of re-reading
+        every propagator, so lockstep refinement can take a fresh
+        subset per iteration cheaply.
+        """
+        idx = np.asarray(indices, dtype=np.intp)
+        if idx.ndim != 1 or not idx.size:
+            raise ValueError("SGP4Batch needs at least one propagator")
+        batch = SGP4Batch.__new__(SGP4Batch)
+        batch.gravity = self.gravity
+        batch.propagators = [self.propagators[i] for i in idx.tolist()]
+        batch.tles = [p.tle for p in batch.propagators]
+        batch._n = idx.size
+        for name in _COEF_FIELDS + ("isimp", "norad_ids", "epochs_jd"):
+            setattr(batch, name, getattr(self, name)[idx])
+        return batch
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SGP4Batch(n={self._n})"

@@ -92,11 +92,13 @@ def _sez_components(vec: np.ndarray, rot: np.ndarray):
     Written without a matrix product so each output element is an
     identical chain of scalar IEEE operations regardless of the batch
     shape — the root of the serial == batched bit-identity contract.
+    ``rot`` is one ``(3, 3)`` rotation or a stack ``(..., 3, 3)`` that
+    broadcasts against ``vec``'s leading dimensions (one per row).
     """
     x, y, z = vec[..., 0], vec[..., 1], vec[..., 2]
-    s = x * rot[0, 0] + y * rot[0, 1] + z * rot[0, 2]
-    e = x * rot[1, 0] + y * rot[1, 1] + z * rot[1, 2]
-    zz = x * rot[2, 0] + y * rot[2, 1] + z * rot[2, 2]
+    s = x * rot[..., 0, 0] + y * rot[..., 0, 1] + z * rot[..., 0, 2]
+    e = x * rot[..., 1, 0] + y * rot[..., 1, 1] + z * rot[..., 1, 2]
+    zz = x * rot[..., 2, 0] + y * rot[..., 2, 1] + z * rot[..., 2, 2]
     return s, e, zz
 
 
@@ -126,7 +128,7 @@ def look_angles_from_ecef(observer: GeodeticPoint,
     return LookAngles(azimuth, elevation, rng, range_rate)
 
 
-def elevation_from_ecef(observer: GeodeticPoint,
+def elevation_from_ecef(observer: Optional[GeodeticPoint],
                         r_ecef: np.ndarray,
                         site: Optional[np.ndarray] = None,
                         rot: Optional[np.ndarray] = None) -> np.ndarray:
@@ -136,7 +138,11 @@ def elevation_from_ecef(observer: GeodeticPoint,
     bit-identical to ``look_angles(...).elevation_deg`` on the same
     states (same element-wise expression chain).  ``site``/``rot`` may
     carry the precomputed ``observer.ecef()`` / :func:`sez_rotation` to
-    amortize them across repeated calls (they are trusted verbatim).
+    amortize them across repeated calls (they are trusted verbatim;
+    ``observer`` may then be ``None``).  They may also be per-row
+    stacks — ``site`` of shape ``(K, 3)`` and ``rot`` of ``(K, 3, 3)``
+    against ``r_ecef`` of ``(K, 3)`` — so K rows seen from K different
+    observers share one call.
     """
     if site is None:
         site = observer.ecef()

@@ -14,6 +14,7 @@ nested serial prediction and the coarse-grid float-drift regression.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from satiot.constellations.catalog import build_constellation
 from satiot.orbits import (SGP4, GeodeticPoint, SGP4Batch, find_passes_fleet,
                            passes)
+from satiot.orbits.groundtrack import ground_track
 from satiot.orbits.passes import PassPredictor
 from satiot.orbits.sgp4 import DecayedError
 from satiot.orbits.tle import TLE
@@ -224,6 +226,17 @@ class TestPropagateBitIdentity:
         assert np.array_equal(r_s[0], r[4])
         assert np.array_equal(v_s[1], v[1])
 
+    def test_subset_repeated_rows_with_own_instants(self, study_fleet):
+        """Lockstep refinement's shape: rows repeat, one instant each."""
+        batch = SGP4Batch.from_propagators(study_fleet[:5])
+        rows = [3, 0, 3, 4]
+        tsince = np.array([[120.5], [-30.25], [7200.0], [61.0]])
+        r, v = batch.subset(rows).propagate(tsince)
+        for k, row in enumerate(rows):
+            r_s, v_s = study_fleet[row].propagate(tsince[k, 0])
+            assert np.array_equal(r[k, 0], r_s)
+            assert np.array_equal(v[k, 0], v_s)
+
 
 class TestFleetPassSearch:
     OBSERVERS = [
@@ -308,6 +321,136 @@ class TestFleetPassSearch:
                                  3600.0) == []
         assert find_passes_fleet(study_fleet[:2], [], epoch,
                                  3600.0) == [[], []]
+
+    def test_rejects_unknown_mode_and_bad_mask(self, study_fleet):
+        epoch = study_fleet[0].tle.epoch
+        with pytest.raises(ValueError, match="refine mode"):
+            find_passes_fleet(study_fleet[:2], self.OBSERVERS, epoch,
+                              3600.0, refine="newton")
+        with pytest.raises(ValueError, match="elevation mask"):
+            find_passes_fleet(study_fleet[:2], self.OBSERVERS, epoch,
+                              3600.0, min_elevation_deg=90.0)
+
+
+class TestLockstepRefinement:
+    """Lockstep bisection of every crossing of a fleet call equals the
+    scalar reference's one-instant-at-a-time bisection, in the awkward
+    cases too, and runs in a bounded number of batched SGP4 calls."""
+
+    STEP_S = 60.0
+
+    @settings(max_examples=12, deadline=None)
+    @given(shells=st.lists(st.builds(
+        lambda *a: a,
+        st.floats(min_value=450.0, max_value=1400.0),   # altitude_km
+        st.floats(min_value=10.0, max_value=120.0),     # inclination_deg
+        st.floats(min_value=0.0, max_value=0.02),       # eccentricity
+        st.floats(min_value=-1.0e-4, max_value=1.0e-4),  # bstar
+        st.floats(min_value=0.0, max_value=359.9),      # raan_deg
+        st.floats(min_value=0.0, max_value=359.9),      # mean_anomaly_deg
+        st.floats(min_value=249.5, max_value=251.5)),   # epochdays
+        min_size=1, max_size=3),
+        observers=st.lists(st.builds(
+            GeodeticPoint,
+            st.floats(min_value=-89.99, max_value=89.99),
+            st.floats(min_value=-180.0, max_value=180.0),
+            st.floats(min_value=0.0, max_value=3.0)),
+            min_size=0, max_size=2),
+        mask_deg=st.floats(min_value=-5.0, max_value=30.0),
+        # The last two leave every bracket at or under the tolerance:
+        # zero bisection iterations.
+        tol_s=st.sampled_from([1.0e-3, 0.5, 7.0, 60.0, 90.0]),
+        whole_steps=st.integers(min_value=60, max_value=240),
+        # A fractional last step: the terminal bracket is short.
+        tail=st.floats(min_value=0.05, max_value=0.95))
+    def test_bisect_equals_scalar(self, shells, observers, mask_deg,
+                                  tol_s, whole_steps, tail):
+        props = _build_fleet(shells)
+        epoch = props[0].tle.epoch
+        duration = (whole_steps + tail) * self.STEP_S
+        # Two observers under the first satellite, at the start and at
+        # the end of the span: a window clipped at each end.
+        lat, lon, _ = ground_track(props[0], epoch,
+                                   np.array([0.0, duration]))
+        observers = observers + [
+            GeodeticPoint(float(lat[0]), float(lon[0])),
+            GeodeticPoint(float(lat[1]), float(lon[1]))]
+        kwargs = dict(coarse_step_s=self.STEP_S, refine_tol_s=tol_s,
+                      refine="bisect")
+        fleet = find_passes_fleet(props, observers, epoch, duration,
+                                  min_elevation_deg=mask_deg, **kwargs)
+        for n, prop in enumerate(props):
+            for m, observer in enumerate(observers):
+                predictor = PassPredictor(prop, observer, mask_deg)
+                assert fleet[n][m] == predictor.find_passes(
+                    epoch, duration, **kwargs)
+        assert fleet[0][-2][0].clipped_start
+        assert fleet[0][-1][-1].clipped_end
+
+    def test_bisect_refines_in_batched_lockstep(self, study_fleet,
+                                                monkeypatch):
+        """No scalar propagation; exactly the scalar reference's
+        refinement instants; at most one call per bisection iteration
+        plus one for the culminations, per block."""
+        observers = TestFleetPassSearch.OBSERVERS
+        epoch = study_fleet[0].tle.epoch
+        # End the span 1 s after a set that lies early in its grid step:
+        # that crossing's terminal bracket is under half a step, so it
+        # converges iterations before the full-step brackets and must
+        # not be evaluated again while they finish.
+        first = PassPredictor(study_fleet[0], observers[0]).find_passes(
+            epoch, 12 * 3600.0, coarse_step_s=60.0)
+        duration = next(w.set_s for w in first
+                        if not w.clipped_end and w.set_s % 60.0 < 25.0) + 1.0
+        counts: Counter = Counter()
+        scalar_propagate = SGP4.propagate
+        batch_propagate = SGP4Batch.propagate
+        elevation_at = PassPredictor.elevation_at
+
+        def count_scalar(self, tsince_s, check_decay=True):
+            counts["scalar_calls"] += 1
+            return scalar_propagate(self, tsince_s, check_decay)
+
+        def count_batch(self, tsince_s, check_decay=True):
+            if np.ndim(tsince_s) == 2 and np.shape(tsince_s)[1] == 1:
+                # One instant per row: a refinement call (coarse grids
+                # have at least two samples).
+                counts["refine_calls"] += 1
+                counts["refine_instants"] += np.shape(tsince_s)[0]
+            return batch_propagate(self, tsince_s, check_decay)
+
+        def count_elevation(self, epoch, offset_s):
+            counts["elevation_at"] += 1
+            return elevation_at(self, epoch, offset_s)
+
+        monkeypatch.setattr(SGP4, "propagate", count_scalar)
+        monkeypatch.setattr(SGP4Batch, "propagate", count_batch)
+        monkeypatch.setattr(PassPredictor, "elevation_at", count_elevation)
+        offsets = PassPredictor.coarse_offsets(duration, 60.0)
+        # 13 satellites per block: three blocks.
+        monkeypatch.setattr(passes, "_FLEET_BLOCK_ELEMENTS",
+                            13 * offsets.size)
+        blocks = 3
+
+        fleet = find_passes_fleet(study_fleet, observers, epoch, duration,
+                                  coarse_step_s=60.0, refine="bisect")
+        engine = dict(counts)
+        counts.clear()
+        reference = [[PassPredictor(prop, observer).find_passes(
+            epoch, duration, coarse_step_s=60.0, refine="bisect")
+            for observer in observers] for prop in study_fleet]
+
+        assert fleet == reference
+        assert fleet[0][0][-1].set_s > offsets[-2]
+        assert engine.get("scalar_calls", 0) == 0
+        assert engine.get("elevation_at", 0) == 0
+        assert engine["refine_instants"] == counts["elevation_at"]
+        crossings = sum(2 - w.clipped_start - w.clipped_end
+                        for rows in fleet for windows in rows
+                        for w in windows)
+        bound = (passes._BISECT_MAX_ITER + 1) * blocks
+        assert crossings > bound
+        assert engine["refine_calls"] <= bound
 
 
 class TestCoarseOffsetsRegression:
